@@ -53,6 +53,25 @@ fn ecmp_routing(c: &mut Criterion) {
             ))
         })
     });
+
+    // One never-seen destination per call on the 32,768-GPU fabric of the
+    // repo benchmark's frontier_train: the per-field cost every fresh
+    // simulation pays once per destination NIC. The warm-up call reads
+    // the router's topology snapshot, so timed calls price the field only.
+    let frontier = build_astral(&AstralParams {
+        pods: 16,
+        blocks_per_pod: 8,
+        hosts_per_block: 32,
+        ..AstralParams::sim_medium()
+    });
+    let cold = Router::new();
+    let mut next = 0u32;
+    c.bench_function("routing/cold_dist_field", |b| {
+        b.iter(|| {
+            next = (next + 1031) % frontier.gpu_count();
+            black_box(cold.dist_field(&frontier, frontier.gpu_nic(GpuId(next))))
+        })
+    });
 }
 
 fn fairness(c: &mut Criterion) {

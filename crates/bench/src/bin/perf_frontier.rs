@@ -130,7 +130,7 @@ fn run_incast(
     }
 
     // Unmeasured warm-up: every QP once, drained to idle — distance
-    // fields, hop tables and the route memo are all hot before timing.
+    // fields and the route memo are hot before timing.
     let t0 = sim.now() + SimDuration::from_micros(1);
     for wave in &waves {
         for &(qp, weight) in wave {

@@ -873,7 +873,7 @@ pub fn try_run_training_battery_with(
         policy.validate()?;
     }
     // Shared-topology fast path: all runs ride one warmed ECMP router, so
-    // the per-destination Dijkstra + hop-table setup is paid once per
+    // the topology snapshot and per-destination fields are paid once per
     // battery instead of once per run. Distance fields are a pure function
     // of the topology (failures are capacity-level inside each private
     // simulator), so results are byte-identical to per-run routers.

@@ -20,6 +20,11 @@
 //! Cross-datacenter gateway peering links (tier 4 ↔ tier 4) are treated as
 //! "up" moves so a path may traverse the long-haul segment while still in
 //! its climbing phase, then descend inside the remote DC.
+//!
+//! The router reads the [`Topology`] once, into a compact `Fabric`
+//! snapshot (CSR adjacency, up-move feeders, and a tier byte and gateway
+//! flag per node). Both field passes are layered BFS over that snapshot,
+//! and a walk derives each hop's equal-cost set from it on demand.
 
 use crate::graph::Topology;
 use crate::ids::{LinkId, NodeId, NodeKind};
@@ -65,6 +70,96 @@ pub enum Phase {
     Down,
 }
 
+/// The routing view of a topology: out-adjacency in CSR form, each node's
+/// up-move feeders, and each node's tier and gateway flag, stamped with
+/// the [`Topology::epoch`] it was read at. Built once per [`Router`] in
+/// O(links).
+#[derive(Debug, PartialEq)]
+struct Fabric {
+    epoch: u64,
+    /// Node `i`'s out-links occupy slots `off[i]..off[i + 1]`.
+    off: Vec<u32>,
+    /// Link id per slot, ascending within each node.
+    link: Vec<u32>,
+    /// Far-end node per slot.
+    nbr: Vec<u32>,
+    /// Node `y`'s feeders — the far ends `x` of its out-links for which
+    /// `x -> y` is an up move — occupy `feed[feed_off[y]..feed_off[y + 1]]`.
+    feed_off: Vec<u32>,
+    feed: Vec<u32>,
+    tier: Vec<u8>,
+    gate: Vec<bool>,
+}
+
+impl Fabric {
+    fn new(topo: &Topology) -> Fabric {
+        let nodes = topo.nodes();
+        let mut off = Vec::with_capacity(nodes.len() + 1);
+        let mut link = Vec::with_capacity(topo.links().len());
+        off.push(0);
+        for node in nodes {
+            let start = link.len();
+            link.extend(topo.out_links(node.id).iter().map(|l| l.0));
+            link[start..].sort_unstable();
+            off.push(link.len() as u32);
+        }
+        let nbr: Vec<u32> = link.iter().map(|&l| topo.link(LinkId(l)).dst.0).collect();
+        let mut f = Fabric {
+            epoch: topo.epoch(),
+            off,
+            link,
+            nbr,
+            feed_off: Vec::with_capacity(nodes.len() + 1),
+            feed: Vec::new(),
+            tier: nodes.iter().map(|n| n.kind.tier()).collect(),
+            gate: nodes
+                .iter()
+                .map(|n| matches!(n.kind, NodeKind::DcGate { .. }))
+                .collect(),
+        };
+        f.feed_off.push(0);
+        for y in 0..nodes.len() {
+            for s in f.slots(y) {
+                let x = f.nbr[s];
+                if f.up_move(x as usize, y) {
+                    f.feed.push(x);
+                }
+            }
+            f.feed_off.push(f.feed.len() as u32);
+        }
+        f
+    }
+
+    /// Slot range of `node`'s out-links.
+    fn slots(&self, node: usize) -> std::ops::Range<usize> {
+        self.off[node] as usize..self.off[node + 1] as usize
+    }
+
+    /// The nodes with an up move into `node`.
+    fn feeders(&self, node: usize) -> &[u32] {
+        &self.feed[self.feed_off[node] as usize..self.feed_off[node + 1] as usize]
+    }
+
+    /// True if traversing `src → dst` counts as an "up" move.
+    fn up_move(&self, src: usize, dst: usize) -> bool {
+        self.tier[dst] > self.tier[src] || (self.gate[src] && self.gate[dst])
+    }
+
+    /// True if traversing `src → dst` counts as a "down" move.
+    fn down_move(&self, src: usize, dst: usize) -> bool {
+        self.tier[dst] < self.tier[src]
+    }
+
+    /// Panics (debug builds) when `topo` changed since the snapshot.
+    fn check(&self, topo: &Topology) {
+        debug_assert_eq!(
+            self.epoch,
+            topo.epoch(),
+            "stale routing snapshot: call Router::clear() after mutating the topology"
+        );
+    }
+}
+
 /// Distance fields toward one destination NIC.
 #[derive(Debug)]
 pub struct DistField {
@@ -74,20 +169,8 @@ pub struct DistField {
     down: Vec<u16>,
     /// `dist_up[node]`: valley-free distance to the destination.
     up: Vec<u16>,
-    /// Equal-cost next hops per (node, phase), built lazily on the first
-    /// path walk (one O(links) pass); afterwards every hop of every flow
-    /// toward this destination is a slice lookup instead of an adjacency
-    /// scan — the routing half of keeping per-flow simulation work cheap.
-    hops: std::sync::OnceLock<HopTable>,
-}
-
-/// CSR next-hop candidates per node for one destination.
-#[derive(Debug)]
-struct HopTable {
-    off_up: Vec<u32>,
-    hops_up: Vec<Hop>,
-    off_down: Vec<u32>,
-    hops_down: Vec<Hop>,
+    /// The snapshot the fields were computed over.
+    fabric: Arc<Fabric>,
 }
 
 impl DistField {
@@ -103,36 +186,43 @@ impl DistField {
         (d != INF).then_some(d)
     }
 
-    /// Equal-cost next hops from `node` in `phase`, from the precomputed
-    /// table (identical to [`next_hops_in`], which builds it).
-    fn next_hops(&self, topo: &Topology, node: NodeId, phase: Phase) -> &[Hop] {
-        let t = self.hops.get_or_init(|| {
-            let n = topo.nodes().len();
-            let mut table = HopTable {
-                off_up: Vec::with_capacity(n + 1),
-                hops_up: Vec::new(),
-                off_down: Vec::with_capacity(n + 1),
-                hops_down: Vec::new(),
+    /// Equal-cost next hops from `cur` in `phase`, in link-id order, into
+    /// `hops`; `heads[i]` is the node `hops[i]` leads to. Both are cleared
+    /// first and left empty when `cur` is the destination or has no route.
+    fn next_hops_into(
+        &self,
+        cur: NodeId,
+        phase: Phase,
+        hops: &mut Vec<Hop>,
+        heads: &mut Vec<NodeId>,
+    ) {
+        hops.clear();
+        heads.clear();
+        let c = cur.index();
+        let target = match phase {
+            Phase::Down => self.down[c],
+            Phase::Up => self.up[c],
+        };
+        if cur == self.dst || target == INF {
+            return;
+        }
+        let f = &*self.fabric;
+        for s in f.slots(c) {
+            let x = f.nbr[s] as usize;
+            let next = if f.down_move(c, x) {
+                (self.down[x] != INF && self.down[x] + 1 == target).then_some(Phase::Down)
+            } else if phase == Phase::Up && f.up_move(c, x) {
+                (self.up[x] != INF && self.up[x] + 1 == target).then_some(Phase::Up)
+            } else {
+                None
             };
-            table.off_up.push(0);
-            table.off_down.push(0);
-            for i in 0..n {
-                let node = NodeId(i as u32);
-                table
-                    .hops_up
-                    .extend(next_hops_in(topo, self, node, Phase::Up, self.dst));
-                table.off_up.push(table.hops_up.len() as u32);
-                table
-                    .hops_down
-                    .extend(next_hops_in(topo, self, node, Phase::Down, self.dst));
-                table.off_down.push(table.hops_down.len() as u32);
+            if let Some(phase) = next {
+                hops.push(Hop {
+                    link: LinkId(f.link[s]),
+                    phase,
+                });
+                heads.push(NodeId(x as u32));
             }
-            table
-        });
-        let i = node.index();
-        match phase {
-            Phase::Up => &t.hops_up[t.off_up[i] as usize..t.off_up[i + 1] as usize],
-            Phase::Down => &t.hops_down[t.off_down[i] as usize..t.off_down[i + 1] as usize],
         }
     }
 }
@@ -149,20 +239,14 @@ pub struct Hop {
 /// ECMP router with a per-destination distance-field cache.
 #[derive(Debug, Default)]
 pub struct Router {
-    cache: RwLock<HashMap<NodeId, Arc<DistField>>>,
+    cache: RwLock<Cache>,
 }
 
-/// True if traversing `src → dst` counts as an "up" move.
-fn is_up_move(topo: &Topology, src: NodeId, dst: NodeId) -> bool {
-    let (ts, td) = (topo.node(src).kind.tier(), topo.node(dst).kind.tier());
-    td > ts
-        || (matches!(topo.node(src).kind, NodeKind::DcGate { .. })
-            && matches!(topo.node(dst).kind, NodeKind::DcGate { .. }))
-}
-
-/// True if traversing `src → dst` counts as a "down" move.
-fn is_down_move(topo: &Topology, src: NodeId, dst: NodeId) -> bool {
-    topo.node(dst).kind.tier() < topo.node(src).kind.tier()
+/// The router's topology snapshot and the fields computed over it.
+#[derive(Debug, Default)]
+struct Cache {
+    fabric: Option<Arc<Fabric>>,
+    fields: HashMap<NodeId, Arc<DistField>>,
 }
 
 impl Router {
@@ -171,18 +255,36 @@ impl Router {
         Router::default()
     }
 
-    /// Drop all cached distance fields (call after mutating the topology).
+    /// Drop the topology snapshot and all cached distance fields (call
+    /// after mutating the topology).
     pub fn clear(&self) {
-        self.cache.write().clear();
+        let mut cache = self.cache.write();
+        cache.fabric = None;
+        cache.fields.clear();
+    }
+
+    /// The topology snapshot, read on first use.
+    fn fabric(&self, topo: &Topology) -> Arc<Fabric> {
+        if let Some(f) = &self.cache.read().fabric {
+            f.check(topo);
+            return Arc::clone(f);
+        }
+        let mut cache = self.cache.write();
+        let f = cache
+            .fabric
+            .get_or_insert_with(|| Arc::new(Fabric::new(topo)));
+        f.check(topo);
+        Arc::clone(f)
     }
 
     /// Distance fields toward `dst` (computed on first use, then cached).
     pub fn dist_field(&self, topo: &Topology, dst: NodeId) -> Arc<DistField> {
-        if let Some(f) = self.cache.read().get(&dst) {
+        if let Some(f) = self.cache.read().fields.get(&dst) {
+            f.fabric.check(topo);
             return Arc::clone(f);
         }
-        let field = Arc::new(compute_field(topo, dst));
-        self.cache.write().insert(dst, Arc::clone(&field));
+        let field = Arc::new(compute_field(self.fabric(topo), topo, dst));
+        self.cache.write().fields.insert(dst, Arc::clone(&field));
         field
     }
 
@@ -190,8 +292,10 @@ impl Router {
     /// deterministic (link-id) order. Empty when `cur == dst` or no route
     /// exists.
     pub fn next_hops(&self, topo: &Topology, cur: NodeId, phase: Phase, dst: NodeId) -> Vec<Hop> {
-        let field = self.dist_field(topo, dst);
-        next_hops_in(topo, &field, cur, phase, dst)
+        let (mut hops, mut heads) = (Vec::new(), Vec::new());
+        self.dist_field(topo, dst)
+            .next_hops_into(cur, phase, &mut hops, &mut heads);
+        hops
     }
 
     /// Walk a complete path from `src_nic` to `dst_nic`, using `choose` to
@@ -255,20 +359,21 @@ impl Router {
             return Ok(true);
         }
         let field = self.dist_field(topo, dst_nic);
+        let (mut hops, mut heads) = (Vec::new(), Vec::new());
         let mut cur = src_nic;
         let mut phase = Phase::Up;
         while cur != dst_nic {
-            let hops = field.next_hops(topo, cur, phase);
+            field.next_hops_into(cur, phase, &mut hops, &mut heads);
             if hops.is_empty() {
                 out.clear();
                 return Ok(false);
             }
-            let idx = choose(cur, hops);
+            let idx = choose(cur, &hops);
             debug_assert!(idx < hops.len(), "chooser returned out-of-range index");
-            let hop = hops[idx.min(hops.len() - 1)];
-            out.push(hop.link);
-            cur = topo.link(hop.link).dst;
-            phase = hop.phase;
+            let idx = idx.min(hops.len() - 1);
+            out.push(hops[idx].link);
+            cur = heads[idx];
+            phase = hops[idx].phase;
             if out.len() > MAX_HOPS {
                 out.clear();
                 return Err(RoutingError::HopLimitExceeded { limit: MAX_HOPS });
@@ -292,166 +397,116 @@ impl Router {
         }
         let field = self.dist_field(topo, dst_nic);
         let mut memo: HashMap<(NodeId, Phase), u64> = HashMap::new();
-        count_paths(topo, &field, src_nic, Phase::Up, dst_nic, &mut memo)
+        count_paths(&field, src_nic, Phase::Up, &mut memo)
     }
 }
 
 fn count_paths(
-    topo: &Topology,
     field: &DistField,
     cur: NodeId,
     phase: Phase,
-    dst: NodeId,
     memo: &mut HashMap<(NodeId, Phase), u64>,
 ) -> u64 {
-    if cur == dst {
+    if cur == field.dst {
         return 1;
     }
     if let Some(&c) = memo.get(&(cur, phase)) {
         return c;
     }
-    let total = next_hops_in(topo, field, cur, phase, dst)
-        .into_iter()
-        .map(|hop| count_paths(topo, field, topo.link(hop.link).dst, hop.phase, dst, memo))
+    let (mut hops, mut heads) = (Vec::new(), Vec::new());
+    field.next_hops_into(cur, phase, &mut hops, &mut heads);
+    let total = hops
+        .iter()
+        .zip(heads)
+        .map(|(hop, next)| count_paths(field, next, hop.phase, memo))
         .sum();
     memo.insert((cur, phase), total);
     total
 }
 
-fn next_hops_in(
-    topo: &Topology,
-    field: &DistField,
-    cur: NodeId,
-    phase: Phase,
-    dst: NodeId,
-) -> Vec<Hop> {
-    if cur == dst {
-        return Vec::new();
-    }
-    let mut hops = Vec::new();
-    match phase {
-        Phase::Down => {
-            let Some(cur_d) = field.down(cur) else {
-                return Vec::new();
-            };
-            for &l in topo.out_links(cur) {
-                let next = topo.link(l).dst;
-                if is_down_move(topo, cur, next) && field.down(next).is_some_and(|d| d + 1 == cur_d)
-                {
-                    hops.push(Hop {
-                        link: l,
-                        phase: Phase::Down,
-                    });
-                }
-            }
-        }
-        Phase::Up => {
-            let Some(cur_u) = field.up(cur) else {
-                return Vec::new();
-            };
-            for &l in topo.out_links(cur) {
-                let next = topo.link(l).dst;
-                if is_down_move(topo, cur, next) {
-                    if field.down(next).is_some_and(|d| d + 1 == cur_u) {
-                        hops.push(Hop {
-                            link: l,
-                            phase: Phase::Down,
-                        });
-                    }
-                } else if is_up_move(topo, cur, next)
-                    && field.up(next).is_some_and(|d| d + 1 == cur_u)
-                {
-                    hops.push(Hop {
-                        link: l,
-                        phase: Phase::Up,
-                    });
-                }
-            }
-        }
-    }
-    hops.sort_by_key(|h| h.link);
-    hops
-}
-
-/// Compute distance fields toward `dst` with two passes:
-/// a downhill BFS, then a Dijkstra over "up" moves seeded with the downhill
-/// distances.
-fn compute_field(topo: &Topology, dst: NodeId) -> DistField {
-    let n = topo.nodes().len();
+/// Compute distance fields toward `dst` over `fabric` with two layered
+/// BFS passes: downhill distances, then valley-free distances seeded with
+/// them. Every move costs one hop, so a bucket per distance replaces a
+/// priority queue. `topo` is read only by debug checks of the
+/// duplex-wiring invariant both passes rely on.
+fn compute_field(fabric: Arc<Fabric>, topo: &Topology, dst: NodeId) -> DistField {
+    let f = &*fabric;
+    let n = f.tier.len();
     let mut down = vec![INF; n];
-    let mut up = vec![INF; n];
     down[dst.index()] = 0;
 
-    // Downhill distances: BFS from dst, relaxing over *reverse* down moves.
-    // A reverse down move from v is any link (u -> v) where u is above v,
-    // i.e. we walk dst's uphill links forward.
-    let mut frontier = vec![dst];
-    let mut depth: u16 = 0;
-    while !frontier.is_empty() {
-        depth += 1;
-        let mut next_frontier = Vec::new();
-        for &v in &frontier {
-            for &l in topo.out_links(v) {
-                // (v -> u) with u above v means the reverse (u -> v) is a
-                // down move; duplex wiring guarantees the reverse exists.
-                let u = topo.link(l).dst;
-                if is_up_move(topo, v, u)
-                    && !matches!(topo.node(v).kind, NodeKind::DcGate { .. })
-                    && down[u.index()] == INF
-                    && topo.link_between(u, v).is_some()
-                {
-                    // Exclude gate-lateral from "down" reachability: a
-                    // gate-gate hop is lateral, not downhill.
-                    if topo.node(u).kind.tier() > topo.node(v).kind.tier() {
-                        down[u.index()] = depth;
-                        next_frontier.push(u);
-                    }
+    // Downhill distances: BFS from dst over *reverse* down moves. Walk
+    // each node's out-links v -> u with u above v; duplex wiring means the
+    // reverse u -> v exists and is a down move. A gateway has nothing
+    // above it (gate-gate hops are lateral, not downhill). `layers[d]`
+    // keeps the nodes first reached at distance d.
+    let mut layers: Vec<Vec<u32>> = vec![vec![dst.0]];
+    loop {
+        let depth = layers.len() as u16;
+        let mut next = Vec::new();
+        for &v in layers.last().expect("seeded with dst") {
+            let v = v as usize;
+            if f.gate[v] {
+                continue;
+            }
+            for s in f.slots(v) {
+                let u = f.nbr[s] as usize;
+                if f.tier[u] > f.tier[v] && down[u] == INF {
+                    debug_assert!(
+                        topo.link_between(NodeId(u as u32), NodeId(v as u32))
+                            .is_some(),
+                        "non-duplex wiring"
+                    );
+                    down[u] = depth;
+                    next.push(u as u32);
                 }
             }
         }
-        frontier = next_frontier;
+        if next.is_empty() {
+            break;
+        }
+        layers.push(next);
     }
 
-    // Valley-free distances: dist_up(x) = min(dist_down(x),
-    //   1 + dist_up(y)) over up moves (x -> y). Seed with dist_down and run
-    // Dijkstra over reverse-up edges.
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<(u16, u32)>> = BinaryHeap::new();
-    for (i, &d) in down.iter().enumerate() {
-        up[i] = d;
-        if d != INF {
-            heap.push(Reverse((d, i as u32)));
-        }
-    }
-    while let Some(Reverse((d, yi))) = heap.pop() {
-        if d > up[yi as usize] {
-            continue;
-        }
-        let y = NodeId(yi);
-        // Relax every x with an up move (x -> y): walk y's out links and
-        // use the duplex-wiring invariant (the same one the BFS above
-        // relies on) — an edge y -> x implies the reverse x -> y exists,
-        // so the tier comparison alone identifies relaxable edges without
-        // a per-edge map lookup.
-        for &l in topo.out_links(y) {
-            let x = topo.link(l).dst;
-            if is_up_move(topo, x, y) {
-                debug_assert!(topo.link_between(x, y).is_some(), "non-duplex wiring");
-                let nd = d.saturating_add(1);
-                if nd < up[x.index()] {
-                    up[x.index()] = nd;
-                    heap.push(Reverse((nd, x.0)));
+    // Valley-free distances: dist_up(x) = min(dist_down(x), 1 + dist_up(y))
+    // over up moves (x -> y). The downhill layers seed the buckets; bucket
+    // d is final once reached, and an entry whose node has since been
+    // reached closer is stale and skipped. Relaxing reads y's feeders,
+    // taken from its out-links under the same duplex invariant.
+    let mut up = down.clone();
+    let mut d = 0;
+    while d < layers.len() {
+        let layer = std::mem::take(&mut layers[d]);
+        let nd = d as u16 + 1;
+        for &y in &layer {
+            let y = y as usize;
+            if up[y] != d as u16 {
+                continue;
+            }
+            for &x in f.feeders(y) {
+                let x = x as usize;
+                if nd < up[x] {
+                    debug_assert!(
+                        topo.link_between(NodeId(x as u32), NodeId(y as u32))
+                            .is_some(),
+                        "non-duplex wiring"
+                    );
+                    up[x] = nd;
+                    if layers.len() == nd as usize {
+                        layers.push(Vec::new());
+                    }
+                    layers[nd as usize].push(x as u32);
                 }
             }
         }
+        d += 1;
     }
 
     DistField {
         dst,
         down,
         up,
-        hops: std::sync::OnceLock::new(),
+        fabric,
     }
 }
 
@@ -518,12 +573,13 @@ mod tests {
         for (ga, gb) in pairs {
             let (a, b) = (t.gpu_nic(GpuId(ga)), t.gpu_nic(GpuId(gb)));
             let path = r.path_with(&t, a, b, |_, _| 0).unwrap();
+            let f = Fabric::new(&t);
             let mut cur = a;
             let mut seen_down = false;
             for &l in &path {
                 let link = t.link(l);
                 assert_eq!(link.src, cur, "discontinuous path");
-                let up = is_up_move(&t, link.src, link.dst);
+                let up = f.up_move(link.src.index(), link.dst.index());
                 if up {
                     assert!(!seen_down, "valley: up move after down move");
                 } else {
@@ -591,5 +647,74 @@ mod tests {
         r.clear();
         let f3 = r.dist_field(&t, b);
         assert!(!Arc::ptr_eq(&f1, &f3));
+    }
+
+    /// Wire ToR(rail 0) of GPU 0 straight to an Agg of rail 1's group:
+    /// a cross-rail shortcut that turns GPU 0 → GPU 1 from 6 hops into 4.
+    fn add_shortcut(t: &mut Topology) {
+        let (a, b) = (t.gpu_nic(GpuId(0)), t.gpu_nic(GpuId(1)));
+        let tor_a = t.link(t.out_links(a)[0]).dst;
+        let tor_b = t.link(t.out_links(b)[0]).dst;
+        let agg_b = t
+            .out_links(tor_b)
+            .iter()
+            .map(|&l| t.link(l).dst)
+            .find(|&n| t.node(n).kind.tier() == 2)
+            .unwrap();
+        let link = t.link(t.out_links(a)[0]);
+        let (bw, lat) = (link.bandwidth_bps, link.latency);
+        t.add_duplex(tor_a, agg_b, bw, lat);
+    }
+
+    /// After a mutation, `clear()` rebuilds the snapshot and fields from
+    /// the new topology, exactly as a fresh router would.
+    #[test]
+    fn clear_rebuilds_snapshot_after_mutation() {
+        let (mut t, r) = fixture();
+        let (a, b) = (t.gpu_nic(GpuId(0)), t.gpu_nic(GpuId(1)));
+        assert_eq!(r.distance(&t, a, b), Some(6));
+        let before = r.dist_field(&t, b);
+        add_shortcut(&mut t);
+        r.clear();
+
+        let fresh = Router::new();
+        let (got, want) = (r.dist_field(&t, b), fresh.dist_field(&t, b));
+        assert_eq!(*got.fabric, *want.fabric);
+        assert_eq!(got.fabric.epoch, t.epoch());
+        assert_eq!((&got.down, &got.up), (&want.down, &want.up));
+        assert_eq!(got.fabric.link.len(), before.fabric.link.len() + 2);
+        assert_eq!(r.distance(&t, a, b), Some(4));
+        for cur in [a, t.link(t.out_links(a)[0]).dst] {
+            for phase in [Phase::Up, Phase::Down] {
+                assert_eq!(
+                    r.next_hops(&t, cur, phase, b),
+                    fresh.next_hops(&t, cur, phase, b)
+                );
+            }
+        }
+    }
+
+    /// Routing over a snapshot older than the topology is a caller bug
+    /// (a missing `clear()`); debug builds catch it on the next lookup,
+    /// cached field or not.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale routing snapshot")]
+    fn stale_snapshot_asserts_on_cached_field() {
+        let (mut t, r) = fixture();
+        let b = t.gpu_nic(GpuId(1));
+        r.dist_field(&t, b);
+        add_shortcut(&mut t);
+        r.dist_field(&t, b);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale routing snapshot")]
+    fn stale_snapshot_asserts_on_new_field() {
+        let (mut t, r) = fixture();
+        r.dist_field(&t, t.gpu_nic(GpuId(1)));
+        add_shortcut(&mut t);
+        r.dist_field(&t, t.gpu_nic(GpuId(2)));
     }
 }

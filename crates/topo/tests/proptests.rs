@@ -1,10 +1,108 @@
 //! Property-based tests over the topology builders and router.
 
 use astral_topo::{
-    build_astral, build_clos, build_rail_optimized, AstralParams, BaselineParams, GpuId, NodeKind,
-    Phase, Router,
+    build_astral, build_clos, build_cross_dc, build_rail_only, build_rail_optimized, AstralParams,
+    BaselineParams, CrossDcParams, GpuId, Hop, NodeId, NodeKind, Phase, Router, Topology,
 };
 use proptest::prelude::*;
+use std::collections::VecDeque;
+
+const PHASES: [Phase; 2] = [Phase::Up, Phase::Down];
+
+/// The valley-free rules, restated from scratch: the phase after moving
+/// `x → y` in `phase`, or `None` when the move is not allowed. Downhill
+/// moves are always allowed and commit to descending; climbing (or the
+/// lateral gateway ↔ gateway hop) is allowed only before that.
+fn step(t: &Topology, x: NodeId, y: NodeId, phase: Phase) -> Option<Phase> {
+    let (kx, ky) = (t.node(x).kind, t.node(y).kind);
+    let gates = matches!(kx, NodeKind::DcGate { .. }) && matches!(ky, NodeKind::DcGate { .. });
+    if ky.tier() < kx.tier() {
+        Some(Phase::Down)
+    } else if phase == Phase::Up && (ky.tier() > kx.tier() || gates) {
+        Some(Phase::Up)
+    } else {
+        None
+    }
+}
+
+/// Brute-force reference: BFS backwards from `dst` over the (node, phase)
+/// state graph. `dist[node][0]` is the valley-free distance (phase Up),
+/// `dist[node][1]` the downhill-only one (phase Down).
+fn oracle_dist(t: &Topology, dst: NodeId) -> Vec<[Option<u16>; 2]> {
+    let state = |n: NodeId, p: Phase| n.index() * 2 + (p == Phase::Down) as usize;
+    let mut preds = vec![Vec::new(); t.nodes().len() * 2];
+    for l in t.links() {
+        for p in PHASES {
+            if let Some(q) = step(t, l.src, l.dst, p) {
+                preds[state(l.dst, q)].push(state(l.src, p));
+            }
+        }
+    }
+    let mut dist = vec![None; preds.len()];
+    let mut queue = VecDeque::new();
+    for p in PHASES {
+        dist[state(dst, p)] = Some(0u16);
+        queue.push_back(state(dst, p));
+    }
+    while let Some(s) = queue.pop_front() {
+        let d = dist[s].unwrap();
+        for &ps in &preds[s] {
+            if dist[ps].is_none() {
+                dist[ps] = Some(d + 1);
+                queue.push_back(ps);
+            }
+        }
+    }
+    dist.chunks(2).map(|c| [c[0], c[1]]).collect()
+}
+
+/// Reference equal-cost set: every out-link (by link id) whose move keeps
+/// the walk on a shortest valley-free path.
+fn oracle_hops(
+    t: &Topology,
+    dist: &[[Option<u16>; 2]],
+    cur: NodeId,
+    phase: Phase,
+    dst: NodeId,
+) -> Vec<Hop> {
+    let at = |n: NodeId, p: Phase| dist[n.index()][(p == Phase::Down) as usize];
+    let Some(d) = at(cur, phase).filter(|_| cur != dst) else {
+        return Vec::new();
+    };
+    let mut links = t.out_links(cur).to_vec();
+    links.sort();
+    links
+        .into_iter()
+        .filter_map(|link| {
+            let next = t.link(link).dst;
+            let phase = step(t, cur, next, phase)?;
+            (at(next, phase) == Some(d - 1)).then_some(Hop { link, phase })
+        })
+        .collect()
+}
+
+/// Check the router's fields and next hops toward the NICs of `gpus`
+/// against the oracle on every node, in both phases.
+fn check_against_oracle(t: &Topology, gpus: &[u32]) {
+    let r = Router::new();
+    for &g in gpus {
+        let dst = t.gpu_nic(GpuId(g % t.gpu_count()));
+        let dist = oracle_dist(t, dst);
+        let field = r.dist_field(t, dst);
+        for node in t.nodes() {
+            let n = node.id;
+            assert_eq!(field.up(n), dist[n.index()][0], "up at {n:?}");
+            assert_eq!(field.down(n), dist[n.index()][1], "down at {n:?}");
+            for p in PHASES {
+                assert_eq!(
+                    r.next_hops(t, n, p, dst),
+                    oracle_hops(t, &dist, n, p, dst),
+                    "next hops at {n:?} in {p:?}"
+                );
+            }
+        }
+    }
+}
 
 /// Strategy over small-but-varied Astral parameter sets.
 fn params_strategy() -> impl Strategy<Value = AstralParams> {
@@ -104,6 +202,45 @@ proptest! {
             };
             prop_assert_eq!(field_dist, Some((total - 1) as u16));
         }
+    }
+
+    /// Distance fields and equal-cost next hops equal the brute-force
+    /// state-graph oracle on every node of random Astral fabrics.
+    #[test]
+    fn astral_routing_matches_oracle(
+        p in params_strategy(),
+        gpus in proptest::collection::vec(0u32..1024, 3),
+    ) {
+        check_against_oracle(&build_astral(&p), &gpus);
+    }
+
+    /// The same on the baselines: rail-agnostic Clos, rail-optimized
+    /// (full tier-2 mesh) and rail-only (no cross-rail route at all).
+    #[test]
+    fn baseline_routing_matches_oracle(
+        oversub in 1.0f64..4.0,
+        gpus in proptest::collection::vec(0u32..1024, 3),
+    ) {
+        let bp = BaselineParams::sim_small(oversub);
+        let mut rail_only = bp.base.clone();
+        rail_only.pods = 1;
+        for t in [build_clos(&bp), build_rail_optimized(&bp), build_rail_only(&rail_only)] {
+            check_against_oracle(&t, &gpus);
+        }
+    }
+
+    /// The same across datacenters, where gateway ↔ gateway hops are
+    /// lateral moves taken while still climbing.
+    #[test]
+    fn cross_dc_routing_matches_oracle(
+        dcs in 2u16..=3,
+        gateways in 1u16..=2,
+        gpus in proptest::collection::vec(0u32..2048, 3),
+    ) {
+        let mut p = CrossDcParams::sim_small(4.0);
+        p.dcs = dcs;
+        p.gateways_per_dc = gateways;
+        check_against_oracle(&build_cross_dc(&p), &gpus);
     }
 
     /// Baselines validate and keep host injection bandwidth identical to
