@@ -135,7 +135,8 @@ fn analyzer(c: &mut Criterion) {
 }
 
 fn flow_sim(c: &mut Criterion) {
-    use astral_collectives::{CollectiveRunner, RunnerConfig};
+    use astral_collectives::{pairwise_all_to_all, CollectiveRunner, RunnerConfig};
+    use astral_core::{place_job, PlacementPolicy};
     use astral_topo::{build_astral, AstralParams, GpuId};
     let topo = build_astral(&AstralParams::sim_small());
     let group: Vec<GpuId> = (0..16).map(|h| GpuId(h * 4)).collect();
@@ -146,6 +147,30 @@ fn flow_sim(c: &mut Criterion) {
             let mut runner = CollectiveRunner::new(&topo, RunnerConfig::default());
             black_box(runner.all_reduce(&group, 64 << 20).duration)
         })
+    });
+
+    // One warm 256-rank pairwise all-to-all on the 32,768-GPU fabric of
+    // the repo benchmark's frontier_train. One untimed step first caches
+    // every route, so timed calls price the event loop and rate solver.
+    // On a healthy fabric an event's cost follows the flows it touches,
+    // not the fabric's 262,144 links.
+    let frontier = build_astral(&AstralParams {
+        pods: 16,
+        blocks_per_pod: 8,
+        hosts_per_block: 32,
+        ..AstralParams::sim_medium()
+    });
+    let ranks = place_job(
+        &frontier,
+        256,
+        PlacementPolicy::FragmentedAcrossPods { pods: 16 },
+    );
+    let a2a = pairwise_all_to_all(ranks.len(), 64 << 20);
+    let mut runner = CollectiveRunner::new(&frontier, RunnerConfig::default());
+    runner.run_schedule(&ranks, &a2a);
+    g.sample_size(3);
+    g.bench_function("warm_a2a_step_32k", |b| {
+        b.iter(|| black_box(runner.run_schedule(&ranks, &a2a).duration))
     });
     g.finish();
 }

@@ -10,7 +10,8 @@
 //!   content-addressed cache) and warm (second pass: pure cache hits).
 //! * **Cache hit rate** and the full hit/miss/evict counter set of both
 //!   the forecast cache and the operator memo.
-//! * **Warm-over-cold speedup**, hard-gated at ≥5×.
+//! * **Warm-over-cold speedup**, hard-gated at ≥5×, on the best of 5
+//!   reps of each leg (every rep's answers fingerprint-checked).
 //!
 //! Hard determinism gates: answers fingerprint byte-identically at pool
 //! widths 1, 2 and 8; every distinct query's cached answer is bitwise
@@ -33,6 +34,9 @@ use std::time::Instant;
 const QUERIES: usize = 2048;
 /// Batch size the stream is served in (matches an interactive burst).
 const BATCH: usize = 256;
+/// Repetitions of the headline cold + warm passes; each leg reports its
+/// best, as `appc_monitor_overhead` does.
+const REPS: usize = 5;
 
 /// FNV-1a fold for the cross-width answer fingerprint.
 fn fnv(acc: u64, x: u64) -> u64 {
@@ -188,25 +192,35 @@ fn main() {
         );
     }
 
-    // Headline passes: cold (fresh service) then warm (same service, same
-    // stream — pure hits).
-    let mut svc = SeerService::new(baseline());
-    let (fp_cold, wall_cold) = serve(&mut svc, &pool, &queries);
-    let cold_stats = svc.stats();
-    let (fp_warm, wall_warm) = serve(&mut svc, &pool, &queries);
-    let warm_stats = svc.stats();
-    assert_eq!(
-        fp_cold, fp_warm,
-        "warm pass answers diverged from the cold pass"
-    );
-    assert_eq!(
-        fp_cold, fp_by_width[0],
-        "headline pass diverged from the width gate"
-    );
-    assert_eq!(
-        warm_stats.forecast_misses, cold_stats.forecast_misses,
-        "the warm pass must price nothing new"
-    );
+    // Headline passes, best of `REPS`: cold (fresh service each rep) then
+    // warm (same service, same stream — pure hits). One ~3 ms warm leg is
+    // hostage to scheduler noise; the minimum of several is not.
+    let (mut wall_cold, mut wall_warm) = (f64::INFINITY, f64::INFINITY);
+    let mut cold_stats = None;
+    for rep in 0..REPS {
+        let mut svc = SeerService::new(baseline());
+        let (fp_cold, cold) = serve(&mut svc, &pool, &queries);
+        let stats = svc.stats();
+        let (fp_warm, warm) = serve(&mut svc, &pool, &queries);
+        assert_eq!(
+            (fp_cold, fp_warm),
+            (fp_by_width[0], fp_by_width[0]),
+            "rep {rep}: headline pass answers diverged from the width gate"
+        );
+        assert_eq!(
+            svc.stats().forecast_misses,
+            stats.forecast_misses,
+            "rep {rep}: the warm pass must price nothing new"
+        );
+        assert_eq!(
+            *cold_stats.get_or_insert(stats),
+            stats,
+            "rep {rep}: cold-pass cache counters diverged"
+        );
+        wall_cold = wall_cold.min(cold);
+        wall_warm = wall_warm.min(warm);
+    }
+    let cold_stats = cold_stats.expect("REPS > 0");
 
     let qps_cold = queries.len() as f64 / wall_cold.max(1e-12);
     let qps_warm = queries.len() as f64 / wall_warm.max(1e-12);
@@ -264,7 +278,7 @@ fn main() {
     sc.metric("queries_total", queries.len() as u64);
     sc.metric("distinct_whatifs", mix.len() as u64);
     sc.metric("batch_size", BATCH as u64);
-    sc.metric("answers_fingerprint", fp_cold);
+    sc.metric("answers_fingerprint", fp_by_width[0]);
     sc.metric("forecast_hit_rate", hit_rate);
     sc.metric("forecast_hits", cold_stats.forecast_hits);
     sc.metric("forecast_misses", cold_stats.forecast_misses);
